@@ -16,7 +16,9 @@ use crate::schema::{Field, Schema};
 use crate::wire::{
     decode_column_payload, encode_column_payload, put_u16, put_u32, put_u64, put_u8, WireReader,
 };
-use bytes::Bytes;
+/// The payload type of encoded partitions, re-exported so catalogs can hold
+/// split objects without depending on the byte-buffer crate themselves.
+pub use bytes::Bytes;
 use quokka_common::{QuokkaError, Result};
 
 const MAGIC: u32 = 0x514B_4241; // "QKBA"

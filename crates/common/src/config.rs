@@ -693,8 +693,14 @@ mod tests {
         );
     }
 
+    /// Serializes the tests that set process-global environment variables:
+    /// each one's `resolve_env` reads *every* override, so a sibling's
+    /// half-set variable would fail it.
+    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn transport_config_defaults_and_env_override() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let d = EngineConfig::quokka(4);
         assert_eq!(d.transport.kind, TransportKind::Inproc);
         assert!(d.transport.send_queue_frames > 0);
@@ -728,6 +734,7 @@ mod tests {
 
     #[test]
     fn watchdog_env_override_is_validated_loudly() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // One test covers set/invalid/unset so the process-global variable
         // is never observed mid-change by a sibling test.
         let mut cfg = EngineConfig::quokka(2);

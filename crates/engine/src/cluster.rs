@@ -25,14 +25,14 @@
 
 use crate::layout::QueryLayout;
 use crate::recovery::{Coordinator, CoordinatorOutcome};
-use crate::runtime::QueryOutcome;
+use crate::runtime::{stage_tables, QueryOutcome};
 use crate::stream::{BatchStream, StreamEvent};
 use crate::worker::{spawn_workers_for, Services};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use quokka_batch::codec::{decode_partition, encode_partition};
 use quokka_batch::wire::{self, WireReader};
-use quokka_batch::{Batch, Schema};
+use quokka_batch::Schema;
 use quokka_common::config::EngineConfig;
 use quokka_common::ids::{TaskName, WorkerId};
 use quokka_common::metrics::{MetricsRegistry, PeerWireStats};
@@ -56,8 +56,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// How long a workerd waits for every peer process to publish its shuffle
-/// address before giving up. Generous: peers may still be compiling their
-/// table snapshots.
+/// address before giving up. Generous: peers may still be generating and
+/// encoding their tables.
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// KV key under which process `p` publishes its transport listener address.
@@ -429,8 +429,10 @@ pub struct ProcessQuery {
     pub graph: StageGraph,
     /// Schema of the query result.
     pub output_schema: Schema,
-    /// Base table snapshots, loaded into the driver's durable store.
-    pub tables: BTreeMap<String, Vec<Batch>>,
+    /// Base tables' split objects (see
+    /// [`Catalog::table_splits`](quokka_plan::catalog::Catalog::table_splits)),
+    /// loaded into the driver's durable store.
+    pub tables: BTreeMap<String, Arc<[Bytes]>>,
     /// Path to the `quokka-workerd` binary.
     pub workerd: std::path::PathBuf,
     /// Extra arguments handed to every workerd (e.g. `--query 3 --sf 0.01`)
@@ -451,18 +453,7 @@ pub fn run_process_query(query: ProcessQuery) -> Result<QueryOutcome> {
     let cost = CostModel::new(config.cost);
     let metrics = MetricsRegistry::new();
     let durable = Arc::new(DurableObjectStore::new(cost, Arc::clone(&metrics)));
-
-    let mut table_splits = BTreeMap::new();
-    for (table, batches) in &query.tables {
-        for (index, batch) in batches.iter().enumerate() {
-            durable.put_unmetered(
-                Services::table_split_key(table, index as u64),
-                encode_partition(std::slice::from_ref(batch)),
-            );
-        }
-        table_splits.insert(table.clone(), batches.len() as u64);
-    }
-
+    let table_splits = stage_tables(durable.as_ref(), &query.tables);
     let layout = Arc::new(QueryLayout::new(query.graph.clone(), &config.cluster, &table_splits)?);
     let gcs = Arc::new(Gcs::new(cost.gcs_delay()));
     // The driver's own data plane carries no shuffle traffic (it hosts no
@@ -668,13 +659,7 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
         .cloned()
         .ok_or_else(|| QuokkaError::Config("process index out of range".to_string()))?;
 
-    let mut table_splits = opts.table_splits;
-    // Defensive: recompute against the shared durable store if empty, so a
-    // bespoke workerd caller can omit the counts.
-    if table_splits.is_empty() {
-        table_splits = BTreeMap::new();
-    }
-    let layout = Arc::new(QueryLayout::new(opts.graph, &opts.config.cluster, &table_splits)?);
+    let layout = Arc::new(QueryLayout::new(opts.graph, &opts.config.cluster, &opts.table_splits)?);
 
     // Inboxes for every worker exist in every process, but only frames for
     // locally hosted workers ever arrive (peers connect lanes per worker).

@@ -5,8 +5,8 @@ use crate::layout::QueryLayout;
 use crate::recovery::{Coordinator, CoordinatorOutcome};
 use crate::stream::{BatchStream, StreamEvent};
 use crate::worker::{spawn_workers, Services};
+use bytes::Bytes;
 use parking_lot::Mutex;
-use quokka_batch::codec::encode_partition;
 use quokka_batch::Batch;
 use quokka_common::chaos::ChaosPlan;
 use quokka_common::config::{ClusterConfig, EngineConfig};
@@ -20,7 +20,7 @@ use quokka_plan::catalog::Catalog;
 use quokka_plan::logical::LogicalPlan;
 use quokka_plan::optimizer::Optimizer;
 use quokka_plan::stage::StageGraph;
-use quokka_storage::{CostModel, DurableObjectStore, LocalBackupStore};
+use quokka_storage::{CostModel, DurableObjectStore, LocalBackupStore, ObjectStore};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::Sender;
@@ -131,18 +131,20 @@ impl QueryRunner {
         // compiled graph instead of recompiling.
         let graph = StageGraph::compile(&plan)?;
         // Admission happens after planning (cheap, and errors should surface
-        // as plan errors) but before the table snapshot — the first big
-        // allocation a query makes. An Overloaded rejection propagates from
-        // here synchronously; a queued query blocks its caller right here.
+        // as plan errors) but before the table splits are fetched — on a
+        // table's first use, its encode is the first big allocation a query
+        // makes. An Overloaded rejection propagates from here synchronously;
+        // a queued query blocks its caller right here.
         let permit = match &opts.admission {
             Some(controller) => Some(controller.acquire(estimate_query_memory(&plan, catalog))?),
             None => None,
         };
-        // Snapshot the referenced base tables so the query (and a potential
-        // restart-baseline rerun) no longer needs the caller's catalog.
-        let mut tables: BTreeMap<String, Vec<Batch>> = BTreeMap::new();
+        // Take the referenced tables' shared split objects, so the query (and
+        // a restart-baseline rerun) no longer needs the caller's catalog.
+        let mut tables = BTreeMap::new();
         for table in plan.referenced_tables() {
-            tables.insert(table.clone(), catalog.table_batches(&table)?);
+            let splits = catalog.table_splits(&table)?;
+            tables.insert(table, splits);
         }
 
         let (tx, rx) = std::sync::mpsc::channel();
@@ -168,7 +170,7 @@ impl QueryRunner {
 fn supervise(
     config: EngineConfig,
     graph: StageGraph,
-    tables: BTreeMap<String, Vec<Batch>>,
+    tables: BTreeMap<String, Arc<[Bytes]>>,
     tx: Sender<StreamEvent>,
     cancel: Arc<AtomicBool>,
     permit: Option<AdmissionPermit>,
@@ -185,7 +187,7 @@ fn supervise(
 fn supervise_inner(
     mut config: EngineConfig,
     graph: StageGraph,
-    tables: BTreeMap<String, Vec<Batch>>,
+    tables: BTreeMap<String, Arc<[Bytes]>>,
     tx: &Sender<StreamEvent>,
     cancel: &Arc<AtomicBool>,
     permit: Option<&AdmissionPermit>,
@@ -196,11 +198,8 @@ fn supervise_inner(
     // failures on top of the rerun's metrics.
     let mut carried_runtime = Duration::ZERO;
     let mut carried_failures = 0u64;
-    // The table snapshot only exists for restart-baseline reruns; attempts
-    // drop it as soon as it can no longer be needed.
-    let mut tables = Some(tables);
     loop {
-        match run_attempt(&config, graph.clone(), &mut tables, tx, cancel) {
+        match run_attempt(&config, graph.clone(), &tables, tx, cancel) {
             Ok(AttemptOutcome::Completed(mut metrics)) => {
                 metrics.runtime += carried_runtime;
                 metrics.failures += carried_failures;
@@ -244,40 +243,39 @@ fn supervise_inner(
     }
 }
 
+/// Load base tables into a query's durable object store as split objects —
+/// the data lake the paper's queries read from S3. The splits were encoded
+/// once by the catalog, so this only shares their bytes. Returns each
+/// table's split count, the layout's input to the split-to-channel
+/// assignment.
+pub(crate) fn stage_tables(
+    durable: &dyn ObjectStore,
+    tables: &BTreeMap<String, Arc<[Bytes]>>,
+) -> BTreeMap<String, u64> {
+    let mut counts = BTreeMap::new();
+    for (table, splits) in tables {
+        for (index, split) in splits.iter().enumerate() {
+            durable.put_unmetered(Services::table_split_key(table, index as u64), split.clone());
+        }
+        counts.insert(table.clone(), splits.len() as u64);
+    }
+    counts
+}
+
 /// One end-to-end execution attempt: wire the cluster, run the coordinator,
 /// join every worker thread, and report how it ended.
 fn run_attempt(
     config: &EngineConfig,
     graph: StageGraph,
-    tables: &mut Option<BTreeMap<String, Vec<Batch>>>,
+    tables: &BTreeMap<String, Arc<[Bytes]>>,
     tx: &Sender<StreamEvent>,
     cancel: &Arc<AtomicBool>,
 ) -> Result<AttemptOutcome> {
     let cost = CostModel::new(config.cost);
     let metrics = MetricsRegistry::new();
-    let durable: Arc<dyn quokka_storage::ObjectStore> =
+    let durable: Arc<dyn ObjectStore> =
         Arc::new(DurableObjectStore::new(cost, Arc::clone(&metrics)));
-
-    // Load the referenced base tables into the (durable) object store as
-    // split objects — the data lake the paper's queries read from S3.
-    let mut table_splits = BTreeMap::new();
-    for (table, batches) in tables.as_ref().expect("table snapshot consumed") {
-        for (index, batch) in batches.iter().enumerate() {
-            durable.put_unmetered(
-                Services::table_split_key(table, index as u64),
-                encode_partition(std::slice::from_ref(batch)),
-            );
-        }
-        table_splits.insert(table.clone(), batches.len() as u64);
-    }
-    // A restart (the only consumer of a second attempt) is only ever
-    // requested when the fault strategy has no intra-query recovery; under
-    // the recovering strategies the snapshot is dead weight for the rest of
-    // the query — free it before execution starts.
-    if config.fault.supports_intra_query_recovery() {
-        *tables = None;
-    }
-
+    let table_splits = stage_tables(durable.as_ref(), tables);
     let layout = Arc::new(QueryLayout::new(graph, &config.cluster, &table_splits)?);
     let gcs = Arc::new(Gcs::new(cost.gcs_delay()));
     let plane = Arc::new(DataPlane::with_config(

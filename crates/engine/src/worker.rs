@@ -40,7 +40,7 @@ use quokka_plan::physical::StageOperator;
 use quokka_storage::{CostModel, LocalBackupStore, ObjectStore};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Number of input splits a scan task reads at a time.
@@ -50,6 +50,13 @@ const SPLITS_PER_TASK: usize = 2;
 /// to this size before boundary encoding, so each shuffle frame amortizes
 /// its schema header over long column runs without unbounding batch memory.
 const COALESCE_ROWS: usize = 16_384;
+
+/// Whether `QUOKKA_TRACE` asks for worker-side `[trace]` lines on stderr.
+/// Read once per process: the checks sit on per-task and per-retry paths.
+fn trace_enabled() -> bool {
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| std::env::var_os("QUOKKA_TRACE").is_some())
+}
 
 /// Everything shared between the worker threads, the coordinator and the
 /// runtime for one query execution.
@@ -430,13 +437,13 @@ impl StageWorker {
         }
 
         let Some(task) = services.gcs.get_task(addr) else {
-            if std::env::var_os("QUOKKA_TRACE").is_some() && state.rewind_until.is_some() {
+            if trace_enabled() && state.rewind_until.is_some() {
                 eprintln!("[trace] {} rewinding but has no task entry", addr);
             }
             return Ok(false);
         };
         if task.worker != self.worker {
-            if std::env::var_os("QUOKKA_TRACE").is_some() && state.rewind_until.is_some() {
+            if trace_enabled() && state.rewind_until.is_some() {
                 eprintln!(
                     "[trace] {} rewinding on worker {} but task {} points at worker {}",
                     addr, self.worker, task.task, task.worker
@@ -530,9 +537,16 @@ impl StageWorker {
             // Which end-of-stream notifications become true after this task?
             to_finish = self.newly_finished_inputs(state, &inputs)?;
             // Scan stages finalize based on split exhaustion (decided when
-            // the inputs were chosen), not on upstream end-of-stream.
+            // the inputs were chosen), not on upstream end-of-stream. Any
+            // other stage finalizes once every input has fired its
+            // end-of-stream. That is decided from `to_finish` rather than
+            // from a second read of the GCS: an upstream completing between
+            // two reads would finalize an operator that never saw that
+            // input finish (a join would drop the probe rows it buffered).
             if !layout.graph.stage(self.stage).is_scan() {
-                finalize = self.should_finalize(state, &inputs, &to_finish)?;
+                let finished = &self.channels[&addr].finished_inputs;
+                finalize = (0..layout.num_inputs(self.stage))
+                    .all(|input| finished.contains(&input) || to_finish.contains(&(input as u32)));
             }
         }
         let rt = self.channels.get_mut(&addr).expect("runtime present");
@@ -741,7 +755,7 @@ impl StageWorker {
                 // Wait (with backoff) for the coordinator to repair the
                 // destination.
                 services.metrics.add_push_retry();
-                if std::env::var_os("QUOKKA_TRACE").is_some() {
+                if trace_enabled() {
                     eprintln!("[trace] {} push retry for task {seq}", addr);
                 }
                 publish_backoff.sleep();
@@ -751,12 +765,12 @@ impl StageWorker {
                 break;
             }
             services.metrics.add_push_retry();
-            if std::env::var_os("QUOKKA_TRACE").is_some() {
+            if trace_enabled() {
                 eprintln!("[trace] {} commit abort for task {seq}", addr);
             }
             publish_backoff.sleep();
         }
-        if std::env::var_os("QUOKKA_TRACE").is_some() {
+        if trace_enabled() {
             eprintln!(
                 "[trace] worker={} task={} source={:?} finish={:?} finalize={} rows={} done={}",
                 self.worker,
@@ -885,7 +899,7 @@ impl StageWorker {
             } else {
                 None
             };
-            if std::env::var_os("QUOKKA_TRACE").is_some() {
+            if trace_enabled() {
                 eprintln!("[trace] missing-input {} for {} owner={owner:?}", name, state.addr);
             }
             if let Some(owner) = owner {
@@ -920,7 +934,7 @@ impl StageWorker {
                     match server.peek(state.addr, name) {
                         Some(batches) => partitions.push((name, batches)),
                         None => {
-                            if std::env::var_os("QUOKKA_TRACE").is_some() {
+                            if trace_enabled() {
                                 eprintln!(
                                     "[trace] replay {} task {seq} missing input {name}",
                                     state.addr
@@ -1039,7 +1053,7 @@ impl StageWorker {
 
         // Nothing to consume: maybe every upstream is exhausted and it is
         // time to finalize the channel.
-        if self.all_inputs_exhausted(state, None)? {
+        if self.all_inputs_exhausted(state)? {
             let already_finalized =
                 self.channels.get(&addr).map(|rt| rt.finalized).unwrap_or(false);
             if !already_finalized {
@@ -1096,22 +1110,8 @@ impl StageWorker {
         Ok(true)
     }
 
-    /// Whether the channel can finalize after this task (every operator input
-    /// exhausted).
-    fn should_finalize(
-        &self,
-        state: &ChannelState,
-        inputs: &TaskInputs,
-        _newly_finished: &[u32],
-    ) -> Result<bool> {
-        self.all_inputs_exhausted(state, Some(inputs))
-    }
-
-    fn all_inputs_exhausted(
-        &self,
-        state: &ChannelState,
-        inputs: Option<&TaskInputs>,
-    ) -> Result<bool> {
+    /// Whether every operator input is exhausted as of `state`.
+    fn all_inputs_exhausted(&self, state: &ChannelState) -> Result<bool> {
         let layout = &self.services.layout;
         let num_inputs = layout.num_inputs(self.stage);
         if num_inputs == 0 {
@@ -1119,10 +1119,8 @@ impl StageWorker {
             // caller).
             return Ok(true);
         }
-        let default_inputs = TaskInputs::FinalizeOnly;
-        let inputs = inputs.unwrap_or(&default_inputs);
         for input_index in 0..num_inputs {
-            if !self.input_exhausted(state, inputs, input_index)? {
+            if !self.input_exhausted(state, &TaskInputs::FinalizeOnly, input_index)? {
                 return Ok(false);
             }
         }

@@ -1,9 +1,11 @@
 //! Table providers.
 
 use parking_lot::RwLock;
+use quokka_batch::codec::{encode_partition, Bytes};
 use quokka_batch::{Batch, Schema};
 use quokka_common::{QuokkaError, Result};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// A source of base tables.
 ///
@@ -15,6 +17,12 @@ pub trait Catalog: Send + Sync {
     fn table_schema(&self, name: &str) -> Result<Schema>;
     /// All data of the named table, as batches.
     fn table_batches(&self, name: &str) -> Result<Vec<Batch>>;
+    /// The named table as durable-store split objects: one
+    /// [`encode_partition`] payload per batch, in batch order. The engine
+    /// stages these bytes into every query's durable store, so an
+    /// implementation should encode each table once and hand out the same
+    /// `Arc` until the table changes.
+    fn table_splits(&self, name: &str) -> Result<Arc<[Bytes]>>;
     /// Names of every registered table.
     fn table_names(&self) -> Vec<String>;
     /// Total number of rows in the named table.
@@ -36,10 +44,20 @@ pub trait Catalog: Send + Sync {
     }
 }
 
+/// One registered table.
+#[derive(Debug)]
+struct TableEntry {
+    schema: Schema,
+    batches: Vec<Batch>,
+    /// The batches' split objects, encoded on first use. Living in the
+    /// entry means re-registering the table drops them with the old data.
+    splits: OnceLock<Arc<[Bytes]>>,
+}
+
 /// A simple in-memory catalog.
 #[derive(Debug, Default)]
 pub struct MemoryCatalog {
-    tables: RwLock<BTreeMap<String, (Schema, Vec<Batch>)>>,
+    tables: RwLock<BTreeMap<String, TableEntry>>,
     /// Bumped on every registration so dependent caches can detect change.
     generation: std::sync::atomic::AtomicU64,
 }
@@ -52,32 +70,49 @@ impl MemoryCatalog {
     /// Register (or replace) a table, advancing the catalog generation.
     pub fn register(&self, name: impl Into<String>, schema: Schema, batches: Vec<Batch>) {
         let mut tables = self.tables.write();
-        tables.insert(name.into(), (schema, batches));
+        tables.insert(name.into(), TableEntry { schema, batches, splits: OnceLock::new() });
         // Bumped under the write lock so a reader never observes new data
         // with an old generation.
         self.generation.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// Apply `f` to the named table under the read lock.
+    fn with_table<T>(&self, name: &str, f: impl FnOnce(&TableEntry) -> T) -> Result<T> {
+        self.tables
+            .read()
+            .get(name)
+            .map(f)
+            .ok_or_else(|| QuokkaError::PlanError(format!("unknown table '{name}'")))
     }
 }
 
 impl Catalog for MemoryCatalog {
     fn table_schema(&self, name: &str) -> Result<Schema> {
-        self.tables
-            .read()
-            .get(name)
-            .map(|(s, _)| s.clone())
-            .ok_or_else(|| QuokkaError::PlanError(format!("unknown table '{name}'")))
+        self.with_table(name, |t| t.schema.clone())
     }
 
     fn table_batches(&self, name: &str) -> Result<Vec<Batch>> {
-        self.tables
-            .read()
-            .get(name)
-            .map(|(_, b)| b.clone())
-            .ok_or_else(|| QuokkaError::PlanError(format!("unknown table '{name}'")))
+        self.with_table(name, |t| t.batches.clone())
+    }
+
+    /// Encoded at most once per registration; concurrent first callers
+    /// block on the one encode rather than repeating it.
+    fn table_splits(&self, name: &str) -> Result<Arc<[Bytes]>> {
+        self.with_table(name, |t| {
+            Arc::clone(t.splits.get_or_init(|| {
+                t.batches.iter().map(|b| encode_partition(std::slice::from_ref(b))).collect()
+            }))
+        })
     }
 
     fn table_names(&self) -> Vec<String> {
         self.tables.read().keys().cloned().collect()
+    }
+
+    /// Counted under the read lock without cloning the batches (the
+    /// optimizer asks on every plan-cache miss).
+    fn table_rows(&self, name: &str) -> Result<usize> {
+        self.with_table(name, |t| t.batches.iter().map(Batch::num_rows).sum())
     }
 
     /// Computed under the read lock without cloning the batches (the
@@ -86,11 +121,7 @@ impl Catalog for MemoryCatalog {
     /// a dictionary/bit-packed table admits more concurrent queries than its
     /// plain decoding would.
     fn table_bytes(&self, name: &str) -> Result<u64> {
-        self.tables
-            .read()
-            .get(name)
-            .map(|(_, b)| b.iter().map(|batch| batch.memory_bytes() as u64).sum())
-            .ok_or_else(|| QuokkaError::PlanError(format!("unknown table '{name}'")))
+        self.with_table(name, |t| t.batches.iter().map(|b| b.memory_bytes() as u64).sum())
     }
 
     fn generation(&self) -> u64 {
@@ -115,6 +146,29 @@ mod tests {
         assert_eq!(catalog.table_names(), vec!["t".to_string()]);
         assert!(catalog.table_schema("missing").is_err());
         assert!(catalog.table_batches("missing").is_err());
+        assert!(catalog.table_rows("missing").is_err());
+        assert!(catalog.table_splits("missing").is_err());
+    }
+
+    #[test]
+    fn table_splits_encode_once_per_registration() {
+        let catalog = MemoryCatalog::new();
+        let schema = Schema::from_pairs(&[("id", DataType::Int64)]);
+        let batch = Batch::try_new(schema.clone(), vec![Column::Int64(vec![1, 2, 3])]).unwrap();
+        catalog.register("t", schema.clone(), vec![batch.clone(), batch.slice(0, 1)]);
+        let first = catalog.table_splits("t").unwrap();
+        assert_eq!(first.len(), 2);
+        assert_eq!(first[1], encode_partition(&[batch.slice(0, 1)]));
+        assert!(Arc::ptr_eq(&first, &catalog.table_splits("t").unwrap()));
+
+        // Re-registering drops the cached splits; a holder of the old `Arc`
+        // (an in-flight query) keeps its bytes.
+        let other = Batch::try_new(schema.clone(), vec![Column::Int64(vec![7])]).unwrap();
+        catalog.register("t", schema, vec![other.clone()]);
+        let second = catalog.table_splits("t").unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(&second[..], &[encode_partition(&[other])]);
+        assert_eq!(first.len(), 2);
     }
 
     #[test]

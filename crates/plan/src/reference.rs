@@ -21,6 +21,7 @@ use quokka_batch::compute::{sort_batch, SortKey};
 use quokka_batch::datatype::ScalarValue;
 use quokka_batch::{Batch, Schema};
 use quokka_common::Result;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Executes logical plans on a single thread.
@@ -215,10 +216,11 @@ fn default_row(schema: &Schema) -> Vec<ScalarValue> {
         .collect()
 }
 
-/// Canonicalise a result batch for comparison: rows are rendered to strings
-/// (floats rounded to 4 decimal places) and sorted, so two executions can be
-/// compared regardless of row order and of tiny floating-point differences
-/// introduced by different summation orders.
+/// Canonicalise a result batch for display and diffing: rows are rendered
+/// to strings (floats rounded to 8 significant digits, printed to 3
+/// decimals) and sorted. Two values straddling a rounding boundary render
+/// differently, so compare results with [`same_result`], not with these
+/// strings.
 pub fn canonical_rows(batch: &Batch) -> Vec<String> {
     let mut rows: Vec<String> = (0..batch.num_rows())
         .map(|r| {
@@ -236,10 +238,8 @@ pub fn canonical_rows(batch: &Batch) -> Vec<String> {
 }
 
 fn round_for_compare(f: f64) -> f64 {
-    // Large aggregates accumulate floating-point error across different
-    // summation orders (and fault recovery deliberately changes the order in
-    // which partitions are folded into accumulators), so results are
-    // compared with a relative tolerance: round to 8 significant digits.
+    // Hides summation-order jitter in the rendering: round to 8 significant
+    // digits.
     if f == 0.0 || !f.is_finite() {
         return 0.0;
     }
@@ -248,10 +248,64 @@ fn round_for_compare(f: f64) -> f64 {
     (f * scale).round() / scale
 }
 
-/// Assert-style helper: whether two result batches contain the same multiset
-/// of rows (after canonicalisation).
+/// Relative tolerance [`same_result`] allows on float cells.
+const FLOAT_TOLERANCE: f64 = 1e-9;
+
+/// Whether two result batches contain the same multiset of rows.
+///
+/// Rows are sorted canonically and compared pairwise: non-float values must
+/// match exactly, and floats `a`, `b` must satisfy
+/// `|a - b| <= 1e-9 * max(1, |a|, |b|)`. Large aggregates
+/// accumulate floating-point error across different summation orders (and
+/// fault recovery deliberately changes the order in which partitions are
+/// folded into accumulators), but a tolerance, unlike rounding both sides,
+/// has no boundary for two nearly equal values to straddle.
 pub fn same_result(a: &Batch, b: &Batch) -> bool {
-    canonical_rows(a) == canonical_rows(b)
+    if a.num_columns() != b.num_columns() || a.num_rows() != b.num_rows() {
+        return false;
+    }
+    sorted_rows(a).iter().zip(&sorted_rows(b)).all(|(x, y)| {
+        x.iter().zip(y).all(|(u, v)| match (u, v) {
+            (ScalarValue::Float64(u), ScalarValue::Float64(v)) => floats_match(*u, *v),
+            _ => u == v,
+        })
+    })
+}
+
+fn floats_match(a: f64, b: f64) -> bool {
+    if a.is_nan() || b.is_nan() {
+        return a.is_nan() && b.is_nan();
+    }
+    if a.is_infinite() || b.is_infinite() {
+        return a == b;
+    }
+    (a - b).abs() <= FLOAT_TOLERANCE * a.abs().max(b.abs()).max(1.0)
+}
+
+/// The batch's rows, ordered by their exact (non-float) cells first and
+/// their float cells last, so float jitter only reorders rows that agree on
+/// every exact cell.
+fn sorted_rows(batch: &Batch) -> Vec<Vec<ScalarValue>> {
+    let mut rows: Vec<Vec<ScalarValue>> = (0..batch.num_rows())
+        .map(|r| (0..batch.num_columns()).map(|c| batch.value(r, c)).collect())
+        .collect();
+    rows.sort_by(|x, y| {
+        let pairs = || x.iter().zip(y.iter());
+        let exact = pairs().map(|(u, v)| match (u, v) {
+            (ScalarValue::Int64(u), ScalarValue::Int64(v)) => u.cmp(v),
+            (ScalarValue::Utf8(u), ScalarValue::Utf8(v)) => u.cmp(v),
+            (ScalarValue::Bool(u), ScalarValue::Bool(v)) => u.cmp(v),
+            (ScalarValue::Date(u), ScalarValue::Date(v)) => u.cmp(v),
+            // Floats, and mismatched types (a column has one type per batch).
+            _ => Ordering::Equal,
+        });
+        let floats = pairs().map(|(u, v)| match (u, v) {
+            (ScalarValue::Float64(u), ScalarValue::Float64(v)) => u.total_cmp(v),
+            _ => Ordering::Equal,
+        });
+        exact.chain(floats).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+    });
+    rows
 }
 
 #[cfg(test)]
@@ -414,5 +468,37 @@ mod tests {
         .unwrap();
         assert!(same_result(&a, &b));
         assert_eq!(canonical_rows(&a).len(), 2);
+    }
+
+    fn revenue(values: &[f64]) -> Batch {
+        let schema = Schema::from_pairs(&[("k", DataType::Int64), ("v", DataType::Float64)]);
+        let keys = Column::Int64((1..=values.len() as i64).collect());
+        Batch::try_new(schema, vec![keys, Column::Float64(values.to_vec())]).unwrap()
+    }
+
+    #[test]
+    fn same_result_tolerates_rounding_boundaries_but_not_real_differences() {
+        // Q15's reference and distributed `total_revenue` at SF 0.01: they
+        // straddle a rounding boundary at 8 significant digits.
+        assert!(same_result(&revenue(&[927227.4549999996]), &revenue(&[927227.455])));
+        assert!(!same_result(&revenue(&[927227.45]), &revenue(&[927227.46])));
+        // Near zero the tolerance is absolute.
+        assert!(same_result(&revenue(&[0.0]), &revenue(&[1e-10])));
+        assert!(!same_result(&revenue(&[0.0]), &revenue(&[1e-8])));
+        assert!(same_result(&revenue(&[f64::NAN]), &revenue(&[f64::NAN])));
+        assert!(!same_result(&revenue(&[f64::INFINITY]), &revenue(&[f64::MAX])));
+    }
+
+    #[test]
+    fn same_result_compares_exact_cells_and_shape() {
+        assert!(same_result(&revenue(&[1.0, 2.0]), &revenue(&[1.0, 2.0])));
+        assert!(!same_result(&revenue(&[1.0, 2.0]), &revenue(&[2.0, 1.0])));
+        assert!(!same_result(&revenue(&[1.0]), &revenue(&[1.0, 2.0])));
+        let ints = Batch::try_new(
+            Schema::from_pairs(&[("k", DataType::Int64), ("v", DataType::Int64)]),
+            vec![Column::Int64(vec![1]), Column::Int64(vec![1])],
+        )
+        .unwrap();
+        assert!(!same_result(&revenue(&[1.0]), &ints), "an integer is not a float");
     }
 }

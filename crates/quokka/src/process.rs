@@ -9,11 +9,13 @@
 //! plan lowering is deterministic, so equal `(query, sf, config)` inputs
 //! yield equal graphs in every process.
 
-use crate::{Batch, EngineConfig, Result, Schema, TpchGenerator};
+use crate::{EngineConfig, Result, Schema, TpchGenerator};
+use quokka_batch::codec::Bytes;
 use quokka_plan::catalog::{Catalog, MemoryCatalog};
 use quokka_plan::optimizer::Optimizer;
 use quokka_plan::stage::StageGraph;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The seed [`QuokkaSession::tpch`](crate::QuokkaSession::tpch) generates
 /// its catalog with; workerd processes must use the same one.
@@ -25,9 +27,9 @@ pub struct TpchProcessInputs {
     pub graph: StageGraph,
     /// Schema of the query result.
     pub output_schema: Schema,
-    /// Referenced base tables and their batches (the driver loads these
-    /// into the shared durable store).
-    pub tables: BTreeMap<String, Vec<Batch>>,
+    /// Referenced base tables' split objects (the driver loads these into
+    /// the shared durable store).
+    pub tables: BTreeMap<String, Arc<[Bytes]>>,
     /// Batch counts per referenced table — the split layout every process
     /// computes the channel-to-split assignment from.
     pub table_splits: BTreeMap<String, u64>,
@@ -54,9 +56,9 @@ pub fn tpch_process_inputs(
     let mut tables = BTreeMap::new();
     let mut table_splits = BTreeMap::new();
     for table in plan.referenced_tables() {
-        let batches = catalog.table_batches(&table)?;
-        table_splits.insert(table.clone(), batches.len() as u64);
-        tables.insert(table, batches);
+        let splits = catalog.table_splits(&table)?;
+        table_splits.insert(table.clone(), splits.len() as u64);
+        tables.insert(table, splits);
     }
     Ok(TpchProcessInputs { graph, output_schema, tables, table_splits })
 }
@@ -73,12 +75,9 @@ mod tests {
         assert_eq!(a.graph.stages.len(), b.graph.stages.len());
         assert_eq!(a.table_splits, b.table_splits);
         assert_eq!(a.output_schema, b.output_schema);
-        for (table, batches) in &a.tables {
-            let other = &b.tables[table];
-            assert_eq!(batches.len(), other.len());
-            for (x, y) in batches.iter().zip(other) {
-                assert_eq!(x, y);
-            }
-        }
+        // Byte-identical splits: the driver's staged objects are exactly
+        // what every process's layout was computed from.
+        assert_eq!(a.tables, b.tables);
+        assert!(a.tables.values().all(|splits| !splits.is_empty()));
     }
 }

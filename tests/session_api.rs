@@ -39,6 +39,47 @@ fn session_round_trip_on_custom_tables() {
     assert!(outcome.metrics.output_rows >= 7);
 }
 
+/// Re-registering a table reaches the next query: neither the catalog's
+/// cached table splits nor the session's plan cache may serve the replaced
+/// data. A query already streaming keeps the data it started with.
+#[test]
+fn reregistered_table_reaches_the_next_query() {
+    let session = QuokkaSession::new(EngineConfig::quokka(2));
+    let schema = Schema::from_pairs(&[("k", DataType::Int64), ("v", DataType::Float64)]);
+    let table = |rows: i64, scale: f64, chunk: usize| {
+        Batch::try_new(
+            schema.clone(),
+            vec![
+                Column::Int64((0..rows).map(|i| i % 5).collect()),
+                Column::Float64((0..rows).map(|i| i as f64 * scale).collect()),
+            ],
+        )
+        .unwrap()
+        .chunks(chunk)
+    };
+    let sql = "SELECT k, sum(v) AS total, count(*) AS n FROM t WHERE v >= 3 GROUP BY k ORDER BY k";
+    session.register_table("t", schema.clone(), table(200, 0.5, 32));
+    let old = session.sql(sql).unwrap().collect_reference().unwrap();
+    // Warm both caches: the second run is a plan-cache hit over cached splits.
+    for _ in 0..2 {
+        assert!(same_result(&old, &session.sql(sql).unwrap().collect().unwrap().batch));
+    }
+    let in_flight = session.sql(sql).unwrap().stream().unwrap();
+
+    session.register_table("t", schema.clone(), table(300, 2.5, 48));
+    let handle = session.sql(sql).unwrap();
+    assert!(!handle.is_plan_cache_hit(), "a new catalog generation must re-plan");
+    let expected = handle.collect_reference().unwrap();
+    assert!(!same_result(&old, &expected), "the replacement data must change the answer");
+    let outcome = handle.collect().unwrap();
+    assert!(
+        same_result(&expected, &outcome.batch),
+        "query after re-registration served stale data\nexpected: {expected:?}\nactual: {:?}",
+        outcome.batch
+    );
+    assert!(same_result(&old, &in_flight.collect().unwrap().batch));
+}
+
 #[test]
 fn tpch_session_exposes_all_tables() {
     let session = QuokkaSession::tpch(0.002, 2).unwrap();
