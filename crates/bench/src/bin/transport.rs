@@ -10,7 +10,9 @@
 //!    reassembly, and inbox delivery over a real loopback socket.
 //! 2. **End-to-end query wall clock** — TPC-H Q3 and Q9 on the distributed
 //!    runtime under each transport, with results cross-checked against each
-//!    other and the reference executor.
+//!    other and the reference executor. Each row also records the query's
+//!    pull repairs (replays a starved consumer requested), so the TCP repair
+//!    count is visible next to its wall clock.
 //!
 //! Results go to `BENCH_transport.json`. The run **fails** (non-zero exit)
 //! if a slice is lost or reordered in the microbenchmark, or if the two
@@ -59,6 +61,10 @@ struct QueryResult {
     shuffle_raw_bytes: u64,
     backup_bytes: u64,
     backup_raw_bytes: u64,
+    /// Replay requests starved consumers issued for committed slices missing
+    /// from their inbox. Zero in process; over TCP a consumer can see a
+    /// commit before its frame arrives.
+    pull_repairs: u64,
 }
 
 fn env_f64(name: &str, default: f64) -> f64 {
@@ -94,6 +100,7 @@ fn run_micro(
         CostModel::new(CostModelConfig::zero()),
         Arc::clone(&metrics),
         config,
+        Arc::default(),
     )
     .expect("build data plane");
     let producer = ChannelAddr::new(0, 0);
@@ -175,8 +182,10 @@ fn main() {
                 "Q{q} under {label} diverged from the reference executor"
             );
             eprintln!(
-                "[query] Q{q} {label:<6} {seconds:.3}s  shuffle {} B (raw {} B)",
-                outcome.metrics.shuffle_bytes, outcome.metrics.shuffle_raw_bytes
+                "[query] Q{q} {label:<6} {seconds:.3}s  shuffle {} B (raw {} B)  pull repairs {}",
+                outcome.metrics.shuffle_bytes,
+                outcome.metrics.shuffle_raw_bytes,
+                outcome.metrics.pull_repairs
             );
             queries.push(QueryResult {
                 query: q,
@@ -186,6 +195,7 @@ fn main() {
                 shuffle_raw_bytes: outcome.metrics.shuffle_raw_bytes,
                 backup_bytes: outcome.metrics.backup_bytes,
                 backup_raw_bytes: outcome.metrics.backup_raw_bytes,
+                pull_repairs: outcome.metrics.pull_repairs,
             });
         }
     }
@@ -215,7 +225,7 @@ fn main() {
         json.push_str(&format!(
             "    {{\"query\": {}, \"transport\": \"{}\", \"seconds\": {:.6}, \
              \"shuffle_bytes\": {}, \"shuffle_raw_bytes\": {}, \
-             \"backup_bytes\": {}, \"backup_raw_bytes\": {}}}{}\n",
+             \"backup_bytes\": {}, \"backup_raw_bytes\": {}, \"pull_repairs\": {}}}{}\n",
             q.query,
             q.transport,
             q.seconds,
@@ -223,6 +233,7 @@ fn main() {
             q.shuffle_raw_bytes,
             q.backup_bytes,
             q.backup_raw_bytes,
+            q.pull_repairs,
             if i + 1 < queries.len() { "," } else { "" }
         ));
     }

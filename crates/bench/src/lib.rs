@@ -7,7 +7,8 @@
 //! corresponding paper figure plots. Absolute numbers differ from the paper
 //! — the substrate is a simulated cluster, not 16 EC2 instances — but the
 //! comparisons (who wins, by roughly what factor) are the reproduction
-//! target; see EXPERIMENTS.md.
+//! target. These binaries print their series and write no JSON; the gated
+//! harnesses' measured numbers are in `docs/PERFORMANCE.md`.
 //!
 //! Environment knobs shared by all binaries:
 //!

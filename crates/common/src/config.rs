@@ -182,8 +182,6 @@ pub struct ClusterConfig {
     /// channel of every stage to each TaskManager, so this defaults to the
     /// worker count.
     pub channels_per_stage: u32,
-    /// How often a TaskManager polls the GCS for work when idle.
-    pub poll_interval: Duration,
     /// How often the coordinator checks worker heartbeats.
     pub heartbeat_interval: Duration,
     /// How long a worker's heartbeat may stall before the failure detector
@@ -200,7 +198,6 @@ impl ClusterConfig {
         ClusterConfig {
             workers,
             channels_per_stage: workers,
-            poll_interval: Duration::from_micros(200),
             heartbeat_interval: Duration::from_millis(2),
             suspicion_timeout: Duration::from_secs(1),
         }
@@ -385,8 +382,8 @@ pub struct EngineConfig {
     /// the coordinator cancels it and the stream yields a typed
     /// [`QuokkaError::Timeout`].
     pub query_timeout: Option<Duration>,
-    /// Backoff policy for every retry loop in the engine (task polling,
-    /// result publication, replay requests).
+    /// Backoff policy for the engine's retry loops (result publication,
+    /// replay re-queues).
     pub retry: RetryPolicy,
     /// Target number of rows per batch produced by input readers.
     pub batch_rows: usize,

@@ -19,6 +19,8 @@
 //!   bytes backed up, GCS transactions, recovery time, ...).
 //! * [`rng`] — small deterministic pseudo-random-number helpers so every
 //!   experiment and test is reproducible from a seed.
+//! * [`wakeup`] — the epoch counter idle worker and coordinator threads
+//!   block on, bumped by GCS writes, inbox deliveries and worker kills.
 //!
 //! Nothing in this crate knows about batches, plans or the distributed
 //! runtime; it exists so the substrate crates (`quokka-batch`, `quokka-gcs`,
@@ -31,6 +33,7 @@ pub mod ids;
 pub mod metrics;
 pub mod retry;
 pub mod rng;
+pub mod wakeup;
 
 pub use chaos::{ChaosEvent, ChaosInjection, ChaosPlan, ChaosTrigger};
 pub use config::{
@@ -41,3 +44,4 @@ pub use error::{QuokkaError, Result};
 pub use ids::{ChannelAddr, ChannelId, PartitionName, SeqNo, StageId, TaskName, WorkerId};
 pub use metrics::{MetricsRegistry, PeerWireStats, QueryMetrics};
 pub use retry::{Backoff, RetryPolicy};
+pub use wakeup::Wakeup;

@@ -100,6 +100,11 @@ pub struct QueryMetrics {
     /// Number of times a replay request was re-queued after a failed
     /// delivery attempt.
     pub replay_requeues: u64,
+    /// Number of replay requests a starved consumer issued for a committed
+    /// input slice missing from its inbox (the worker's pull-repair path).
+    /// Under the inproc transport a push always lands before its commit, so
+    /// any repair there points at a lost slice.
+    pub pull_repairs: u64,
     /// Time spent between failure detection and resumption of normal
     /// execution (coordinator-side recovery planning + rescheduling).
     pub recovery_planning: Duration,
@@ -183,6 +188,7 @@ pub struct MetricsRegistry {
     suspicions: AtomicU64,
     push_retries: AtomicU64,
     replay_requeues: AtomicU64,
+    pull_repairs: AtomicU64,
     recovery_planning_nanos: AtomicU64,
     output_rows: AtomicU64,
     result_batches: AtomicU64,
@@ -211,6 +217,7 @@ impl Default for MetricsRegistry {
             suspicions: AtomicU64::new(0),
             push_retries: AtomicU64::new(0),
             replay_requeues: AtomicU64::new(0),
+            pull_repairs: AtomicU64::new(0),
             recovery_planning_nanos: AtomicU64::new(0),
             output_rows: AtomicU64::new(0),
             result_batches: AtomicU64::new(0),
@@ -222,6 +229,12 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// Tasks executed so far, without building a whole snapshot (the
+    /// coordinator's stall watchdog reads it on every pass).
+    pub fn tasks_executed(&self) -> u64 {
+        self.tasks_executed.load(Ordering::Relaxed)
     }
 
     pub fn add_task(&self, recovery: bool) {
@@ -313,6 +326,9 @@ impl MetricsRegistry {
     pub fn add_replay_requeue(&self) {
         self.replay_requeues.fetch_add(1, Ordering::Relaxed);
     }
+    pub fn add_pull_repair(&self) {
+        self.pull_repairs.fetch_add(1, Ordering::Relaxed);
+    }
     pub fn add_recovery_planning(&self, d: Duration) {
         self.recovery_planning_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -375,6 +391,7 @@ impl MetricsRegistry {
             suspicions: self.suspicions.load(Ordering::Relaxed),
             push_retries: self.push_retries.load(Ordering::Relaxed),
             replay_requeues: self.replay_requeues.load(Ordering::Relaxed),
+            pull_repairs: self.pull_repairs.load(Ordering::Relaxed),
             recovery_planning: Duration::from_nanos(
                 self.recovery_planning_nanos.load(Ordering::Relaxed),
             ),
@@ -426,6 +443,7 @@ mod tests {
         reg.add_recovery_planning(Duration::from_millis(3));
         reg.add_result_batch();
         reg.add_result_batch();
+        reg.add_pull_repair();
 
         let snap = reg.snapshot(Duration::from_secs(2));
         assert_eq!(snap.tasks_executed, 2);
@@ -449,6 +467,7 @@ mod tests {
         assert_eq!(snap.recovery_planning, Duration::from_millis(3));
         assert_eq!(snap.runtime, Duration::from_secs(2));
         assert_eq!(snap.result_batches, 2);
+        assert_eq!(snap.pull_repairs, 1);
         assert!(snap.time_to_first_batch.is_some());
     }
 

@@ -1,7 +1,7 @@
 //! Bounded retries with exponential backoff and deterministic jitter.
 //!
-//! The worker loops (task polling, result publication, replay requests) all
-//! need to wait-and-retry on transient conditions. Fixed sleeps either burn
+//! The worker's result-publication loop and bounded replay re-queues need to
+//! wait-and-retry on transient conditions. Fixed sleeps either burn
 //! CPU (too short) or add latency cliffs (too long); this module replaces
 //! them with exponential backoff whose jitter comes from [`DetRng`], so two
 //! runs with the same seed sleep the same schedule.
@@ -16,8 +16,8 @@ use std::time::Duration;
 pub struct RetryPolicy {
     /// Maximum attempts for *bounded* operations (replay re-queues and other
     /// give-uppable retries). `Backoff` built via [`RetryPolicy::backoff`]
-    /// yields `None` once exhausted. Unbounded loops (result publication,
-    /// idle polling) use [`RetryPolicy::backoff_unbounded`] and ignore this.
+    /// yields `None` once exhausted. Unbounded loops (result publication)
+    /// use [`RetryPolicy::backoff_unbounded`] and ignore this.
     pub max_attempts: u32,
     /// First delay.
     pub base_delay: Duration,
@@ -107,11 +107,6 @@ impl Backoff {
             None => false,
         }
     }
-
-    /// Forget accumulated attempts (the operation made progress).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
 }
 
 #[cfg(test)]
@@ -127,8 +122,6 @@ mod tests {
         assert!(b.next_delay().is_some());
         assert_eq!(b.next_delay(), None);
         assert_eq!(b.attempts(), 3);
-        b.reset();
-        assert!(b.next_delay().is_some());
     }
 
     #[test]

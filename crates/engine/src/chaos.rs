@@ -1,20 +1,25 @@
 //! The chaos engine: applies a [`ChaosPlan`] to a running query.
 //!
-//! The coordinator polls [`ChaosEngine::poll`] once per heartbeat. Each
-//! pending injection's trigger is evaluated against the engine's monotone
-//! counters (input progress, committed tasks, recovery tasks), so a plan
-//! fires at the same logical points on every run regardless of thread
-//! scheduling. Side-effect events (suspicion, lost backups, dropped or
+//! Every task commit polls [`ChaosEngine::poll`] (through
+//! [`Services::inject_chaos`]) right after it lands, and so does every
+//! coordinator tick. Each pending injection's trigger is evaluated against
+//! the engine's monotone counters (input progress, committed tasks,
+//! recovery tasks), which only move on commits, so a plan fires at the
+//! commit that reaches its trigger regardless of thread scheduling — even
+//! when a small query runs to completion faster than the coordinator is
+//! scheduled. Side-effect events (suspicion, lost backups, dropped or
 //! delayed pushes, stragglers) are applied directly to the shared
-//! [`Services`]; kill events are returned to the coordinator, which owns the
-//! recovery protocol.
+//! [`Services`]; kill events are returned to the caller, which kills the
+//! worker and queues it for the coordinator's recovery protocol.
 
 use crate::worker::Services;
 use quokka_common::chaos::{ChaosEvent, ChaosInjection, ChaosPlan, ChaosTrigger};
+use quokka_common::config::EngineConfig;
 use quokka_common::ids::WorkerId;
 use std::time::Duration;
 
 /// Injects the faults of a chaos plan at their trigger points.
+#[derive(Default)]
 pub struct ChaosEngine {
     pending: Vec<ChaosInjection>,
 }
@@ -24,9 +29,9 @@ impl ChaosEngine {
     /// `FailureSpec` list is folded into chaos injections so the engine has
     /// exactly one injection path, then the configured [`ChaosPlan`] is
     /// appended.
-    pub fn new(services: &Services) -> Self {
-        let mut plan = ChaosPlan::from_failures(&services.config.failures);
-        plan.injections.extend(services.config.chaos.injections.iter().copied());
+    pub fn new(config: &EngineConfig) -> Self {
+        let mut plan = ChaosPlan::from_failures(&config.failures);
+        plan.injections.extend(config.chaos.injections.iter().copied());
         ChaosEngine { pending: plan.injections }
     }
 

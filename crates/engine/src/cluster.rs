@@ -23,6 +23,7 @@
 //! the query on the survivors — the same Algorithm 2 path the thread-based
 //! chaos tests exercise.
 
+use crate::chaos::ChaosEngine;
 use crate::layout::QueryLayout;
 use crate::recovery::{Coordinator, CoordinatorOutcome};
 use crate::runtime::{stage_tables, QueryOutcome};
@@ -491,6 +492,8 @@ pub fn run_process_query(query: ProcessQuery) -> Result<QueryOutcome> {
         straggler_tasks: (0..config.cluster.workers).map(|_| Default::default()).collect(),
         straggler_micros: (0..config.cluster.workers).map(|_| Default::default()).collect(),
         delivered_sinks: Some(Arc::clone(&delivered_sinks)),
+        chaos: Mutex::new(ChaosEngine::new(config)),
+        chaos_kills: Mutex::default(),
     });
 
     let server = ControlServer::bind(Arc::clone(&services), Arc::clone(&durable))?;
@@ -664,7 +667,7 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
     // Inboxes for every worker exist in every process, but only frames for
     // locally hosted workers ever arrive (peers connect lanes per worker).
     let servers: Vec<Arc<FlightServer>> =
-        (0..workers).map(|w| Arc::new(FlightServer::new(w))).collect();
+        (0..workers).map(|w| Arc::new(FlightServer::new(w, Arc::clone(gcs.wakeup())))).collect();
     let transport = TcpTransport::bind(
         workers,
         &opts.config.transport,
@@ -743,6 +746,8 @@ pub fn run_workerd(opts: WorkerdOpts) -> Result<()> {
         straggler_tasks: (0..workers).map(|_| Default::default()).collect(),
         straggler_micros: (0..workers).map(|_| Default::default()).collect(),
         delivered_sinks: None,
+        chaos: Mutex::default(),
+        chaos_kills: Mutex::default(),
     });
 
     eprintln!(

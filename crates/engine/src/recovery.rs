@@ -12,7 +12,8 @@
 //!
 //! Beyond deaths injected by the chaos plan, the coordinator runs a
 //! heartbeat-based **failure detector**: every stage thread bumps its
-//! worker's liveness counter on every poll, and a worker whose counter
+//! worker's liveness counter on every scheduling pass (at least every
+//! [`IDLE_RECHECK`](crate::worker::IDLE_RECHECK)), and a worker whose counter
 //! stalls for longer than the configured suspicion timeout is *suspected*.
 //! Suspicion is conservative — the worker is not killed (it may merely be
 //! partitioned or slow); its channels are reconciled onto trusted workers,
@@ -21,7 +22,6 @@
 //! also enforces the per-query deadline (`EngineConfig::query_timeout`) and
 //! repairs partitions reported lost by replay reads (deeper lineage replay).
 
-use crate::chaos::ChaosEngine;
 use crate::worker::Services;
 use quokka_common::ids::{ChannelAddr, WorkerId};
 use quokka_common::{QuokkaError, Result};
@@ -72,28 +72,6 @@ impl Coordinator {
         Coordinator { services, watchdog }
     }
 
-    /// Fraction of all input splits consumed so far — the progress measure
-    /// used to decide when to inject a failure ("a worker machine is killed
-    /// halfway through the query", §V-D).
-    pub fn progress(&self) -> f64 {
-        let total = self.services.layout.total_splits();
-        if total == 0 {
-            return 1.0;
-        }
-        let mut consumed = 0u64;
-        for stage in &self.services.layout.graph.stages {
-            if !stage.is_scan() {
-                continue;
-            }
-            for channel in self.services.layout.channels_of(stage.id) {
-                if let Some(state) = self.services.gcs.get_channel(channel) {
-                    consumed += state.splits_consumed as u64;
-                }
-            }
-        }
-        consumed as f64 / total as f64
-    }
-
     fn sink_done(&self) -> bool {
         self.services
             .layout
@@ -104,11 +82,11 @@ impl Coordinator {
 
     /// Supervise the query until completion, failure or restart.
     pub fn run(&self) -> CoordinatorOutcome {
-        let mut chaos = ChaosEngine::new(&self.services);
         let mut injected: Vec<WorkerId> = Vec::new();
         let heartbeat = self.services.config.cluster.heartbeat_interval;
         let suspicion_timeout = self.services.config.cluster.suspicion_timeout;
         let deadline = self.services.config.query_timeout;
+        let wakeup = Arc::clone(self.services.wakeup());
         let start = Instant::now();
         let mut last_progress = (0u64, Instant::now());
         // Process mode: when the sinks look done but emissions are missing,
@@ -123,6 +101,9 @@ impl Coordinator {
             .collect();
 
         loop {
+            // Read before checking anything: a GCS write or kill landing
+            // during this pass cuts the wait at the end of it short.
+            let seen = wakeup.epoch();
             if let Some(error) = self.services.gcs.query_error() {
                 return CoordinatorOutcome::Failed(QuokkaError::Internal(error));
             }
@@ -135,17 +116,15 @@ impl Coordinator {
                 ));
             }
 
-            // Inject any chaos events whose trigger point has been reached.
-            // This happens *before* the completion check: a fast query can
-            // sprint from the trigger point to done within one heartbeat,
-            // and an injection the configuration promised must still land
-            // (killing a worker whose channels all finished is harmless —
-            // recovery finds nothing to rewind). Non-kill events (suspicion,
-            // lost backups, dropped/delayed pushes, stragglers) are applied
-            // inside the poll; kills come back for the recovery protocol.
-            let progress = self.progress();
-            for worker in chaos.poll(&self.services, progress) {
-                self.services.kill_worker(worker);
+            // Recover from chaos kills. Task commits fire injections as they
+            // reach their triggers; the poll here covers process mode, whose
+            // commits happen in other processes. This happens *before* the
+            // completion check: a fast query can sprint from the trigger
+            // point to done, and an injection the configuration promised
+            // must still land (killing a worker whose channels all finished
+            // is harmless — recovery finds nothing to rewind).
+            self.services.inject_chaos();
+            for worker in self.services.take_chaos_kills() {
                 injected.push(worker);
                 if !self.services.config.fault.supports_intra_query_recovery() {
                     self.services.gcs.set_query_error(
@@ -275,7 +254,7 @@ impl Coordinator {
             }
 
             // Watchdog: abort if the task counter stops moving for too long.
-            let tasks = self.services.metrics.snapshot(Duration::ZERO).tasks_executed;
+            let tasks = self.services.metrics.tasks_executed();
             if tasks != last_progress.0 {
                 last_progress = (tasks, Instant::now());
             } else if last_progress.1.elapsed() > self.watchdog {
@@ -288,7 +267,7 @@ impl Coordinator {
                 self.services.gcs.set_query_error(&message);
                 return CoordinatorOutcome::Failed(QuokkaError::Internal(message));
             }
-            std::thread::sleep(heartbeat);
+            wakeup.wait_past(seen, heartbeat);
         }
     }
 
@@ -444,6 +423,7 @@ impl Coordinator {
         // different stages go to different workers — the degree of recovery
         // parallelism is therefore bounded by the number of stages
         // (pipeline-parallel recovery), exactly as §III-B describes.
+        let mut resets = Vec::with_capacity(rewind.len());
         for channel in &rewind {
             let previous = gcs
                 .get_channel(*channel)
@@ -464,22 +444,15 @@ impl Coordinator {
                 (Some(rewind), None) => Some(rewind),
                 (None, committed) => committed,
             };
-            gcs.put_channel(&state);
-            gcs.put_task(&TaskEntry { task: channel.task(0), worker: new_worker });
+            resets.push((state, TaskEntry { task: channel.task(0), worker: new_worker }));
         }
 
         // Replays only matter for partitions feeding rewound channels; they
         // can be served concurrently by their owner workers ("replay tasks
-        // are pushed to TaskManagers that hold them").
-        for replay in &replays {
-            // Skip replays whose producer ended up rewound after all.
-            if rewind.contains(&replay.partition.channel_addr()) {
-                continue;
-            }
-            gcs.add_replay(replay);
-        }
-
-        Ok(())
+        // are pushed to TaskManagers that hold them"). Skip replays whose
+        // producer ended up rewound after all.
+        replays.retain(|replay| !rewind.contains(&replay.partition.channel_addr()));
+        gcs.apply_reconciliation(&resets, &replays)
     }
 
     /// Dump the stuck state when the watchdog fires: which channels are

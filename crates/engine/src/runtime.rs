@@ -1,6 +1,7 @@
 //! The query runner: wiring, streaming execution and the restart baseline.
 
 use crate::admission::{estimate_query_memory, AdmissionController, AdmissionPermit};
+use crate::chaos::ChaosEngine;
 use crate::layout::QueryLayout;
 use crate::recovery::{Coordinator, CoordinatorOutcome};
 use crate::stream::{BatchStream, StreamEvent};
@@ -283,6 +284,7 @@ fn run_attempt(
         cost,
         Arc::clone(&metrics),
         &config.transport,
+        Arc::clone(gcs.wakeup()),
     )?);
     let backups: Vec<Arc<LocalBackupStore>> = (0..config.cluster.workers)
         .map(|w| Arc::new(LocalBackupStore::new(w, cost, Arc::clone(&metrics))))
@@ -314,6 +316,8 @@ fn run_attempt(
         straggler_tasks: (0..config.cluster.workers).map(|_| Default::default()).collect(),
         straggler_micros: (0..config.cluster.workers).map(|_| Default::default()).collect(),
         delivered_sinks: None,
+        chaos: Mutex::new(ChaosEngine::new(config)),
+        chaos_kills: Mutex::default(),
     });
 
     let start = Instant::now();

@@ -54,8 +54,9 @@ pub enum StreamEvent {
 /// committed sink output, returning `Ok(None)` once the query has finished
 /// (at which point [`metrics`](Self::metrics) is available).
 ///
-/// Dropping the stream cancels the query: the supervising thread tells the
-/// workers to stop at their next poll.
+/// Dropping the stream cancels the query: the coordinator sees the flag
+/// within one supervision tick and marks the query done, which wakes the
+/// workers to stop.
 #[derive(Debug)]
 pub struct BatchStream {
     schema: Schema,
@@ -251,8 +252,8 @@ impl Iterator for BatchStream {
 
 impl Drop for BatchStream {
     fn drop(&mut self) {
-        // Tell the engine the consumer is gone; workers stop at their next
-        // poll instead of computing a result nobody will read.
+        // Tell the engine the consumer is gone; the query winds down instead
+        // of computing a result nobody will read.
         self.cancel.store(true, std::sync::atomic::Ordering::SeqCst);
     }
 }

@@ -1,9 +1,12 @@
 //! The TaskManager side of the engine: Algorithm 1.
 //!
 //! Each worker machine runs one [`StageWorker`] thread per stage. The thread
-//! polls the GCS for the channels of its stage that are currently assigned
+//! scans the GCS for the channels of its stage that are currently assigned
 //! to its worker and, for each, tries to execute the channel's outstanding
-//! task:
+//! task. An idle thread blocks on the query's [`Wakeup`] — notified by every
+//! GCS write, every inbox delivery that no commit follows, and every worker
+//! kill — and re-scans when it fires, or after [`IDLE_RECHECK`] at the
+//! latest:
 //!
 //! 1. pick the task's inputs — dynamically under
 //!    [`SchedulePolicy::Dynamic`], in fixed batches under
@@ -19,6 +22,7 @@
 //!    push failed or the recovery barrier was raised, nothing is committed
 //!    and the task is retried later.
 
+use crate::chaos::ChaosEngine;
 use crate::layout::QueryLayout;
 use crate::stream::StreamEvent;
 use parking_lot::Mutex;
@@ -28,8 +32,7 @@ use quokka_batch::{Batch, Column};
 use quokka_common::config::{EngineConfig, ExecutionMode, FaultStrategy, SchedulePolicy};
 use quokka_common::ids::{ChannelAddr, SeqNo, StageId, TaskName, WorkerId};
 use quokka_common::metrics::MetricsRegistry;
-use quokka_common::retry::RetryPolicy;
-use quokka_common::{QuokkaError, Result};
+use quokka_common::{QuokkaError, Result, Wakeup};
 use quokka_gcs::tables::{
     ChannelState, LineageRecord, LineageSource, PartitionEntry, ReplayRequest, TaskCommit,
     TaskEntry,
@@ -41,7 +44,7 @@ use quokka_storage::{CostModel, LocalBackupStore, ObjectStore};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Number of input splits a scan task reads at a time.
 const SPLITS_PER_TASK: usize = 2;
@@ -50,6 +53,13 @@ const SPLITS_PER_TASK: usize = 2;
 /// to this size before boundary encoding, so each shuffle frame amortizes
 /// its schema header over long column runs without unbounding batch memory.
 const COALESCE_ROWS: usize = 16_384;
+
+/// Longest an idle stage thread blocks on the wakeup before re-scanning
+/// anyway. It keeps heartbeats flowing for the failure detector, covers
+/// process-mode GCS changes made by other processes (which notify no local
+/// wakeup), and is how long a starved channel waits for a slice in flight
+/// before pulling it back from its backup owner.
+pub const IDLE_RECHECK: Duration = Duration::from_millis(5);
 
 /// Whether `QUOKKA_TRACE` asks for worker-side `[trace]` lines on stderr.
 /// Read once per process: the checks sit on per-task and per-retry paths.
@@ -78,13 +88,15 @@ pub struct Services {
     pub sink: Mutex<std::sync::mpsc::Sender<StreamEvent>>,
     pub metrics: Arc<MetricsRegistry>,
     pub killed: Vec<AtomicBool>,
-    /// Raised when the consuming stream is dropped; workers and the
-    /// coordinator wind the query down at their next poll.
+    /// Raised when the consuming stream is dropped; the coordinator sees it
+    /// within one heartbeat interval and marks the query done, which wakes
+    /// the workers to wind down.
     pub cancelled: Arc<std::sync::atomic::AtomicBool>,
     pub cost: CostModel,
     /// Per-worker liveness counters bumped by every stage thread on every
-    /// poll; the coordinator's failure detector suspects a worker whose
-    /// counter stops moving for longer than the suspicion timeout.
+    /// scheduling pass; the coordinator's failure detector suspects a
+    /// worker whose counter stops moving for longer than the suspicion
+    /// timeout.
     pub heartbeats: Vec<AtomicU64>,
     /// Chaos injection: while set, the worker's heartbeats are swallowed,
     /// simulating a network partition between a healthy worker and the
@@ -106,6 +118,12 @@ pub struct Services {
     /// committed sink partition is accounted for here, rewinding the
     /// channels of the ones that never arrive.
     pub delivered_sinks: Option<Arc<Mutex<HashSet<TaskName>>>>,
+    /// The query's pending chaos injections (empty in worker processes,
+    /// whose driver owns the plan).
+    pub chaos: Mutex<ChaosEngine>,
+    /// Workers killed by chaos injections, waiting for the coordinator to
+    /// run recovery.
+    pub chaos_kills: Mutex<Vec<WorkerId>>,
 }
 
 impl Services {
@@ -121,6 +139,55 @@ impl Services {
         let _ = self.plane.fail_worker(worker);
         self.backups[worker as usize].fail();
         self.metrics.add_failure();
+        self.wakeup().notify();
+    }
+
+    /// The query's wakeup: the GCS notifies it on every write, the flight
+    /// servers on every delivery that no commit follows, and
+    /// [`Services::kill_worker`] on every kill.
+    pub fn wakeup(&self) -> &Arc<Wakeup> {
+        self.gcs.wakeup()
+    }
+
+    /// Fire every chaos injection whose trigger has been reached. Kills
+    /// take effect at once and are queued for the coordinator's recovery;
+    /// other events are applied to these services directly.
+    pub fn inject_chaos(&self) {
+        let mut chaos = self.chaos.lock();
+        if chaos.is_drained() {
+            return;
+        }
+        for worker in chaos.poll(self, self.progress()) {
+            self.kill_worker(worker);
+            self.chaos_kills.lock().push(worker);
+        }
+    }
+
+    /// Drain the workers chaos has killed since the last call.
+    pub fn take_chaos_kills(&self) -> Vec<WorkerId> {
+        std::mem::take(&mut *self.chaos_kills.lock())
+    }
+
+    /// Fraction of all input splits consumed so far — the progress measure
+    /// used to decide when to inject a failure ("a worker machine is killed
+    /// halfway through the query", §V-D).
+    pub fn progress(&self) -> f64 {
+        let total = self.layout.total_splits();
+        if total == 0 {
+            return 1.0;
+        }
+        let mut consumed = 0u64;
+        for stage in &self.layout.graph.stages {
+            if !stage.is_scan() {
+                continue;
+            }
+            for channel in self.layout.channels_of(stage.id) {
+                if let Some(state) = self.gcs.get_channel(channel) {
+                    consumed += state.splits_consumed as u64;
+                }
+            }
+        }
+        consumed as f64 / total as f64
     }
 
     /// Workers that have not been killed.
@@ -215,6 +282,10 @@ struct ChannelRuntime {
     expected_seq: SeqNo,
     finished_inputs: HashSet<usize>,
     finalized: bool,
+    /// Pull-repair bookkeeping while the channel is starved: when it last
+    /// checked for missing input slices, and which ones were missing then.
+    /// Cleared by every commit.
+    starved: Option<(Instant, Vec<TaskName>)>,
 }
 
 /// What a task is about to consume.
@@ -252,30 +323,14 @@ impl StageWorker {
     /// Main loop: runs until the query finishes, fails, or this worker is
     /// killed.
     ///
-    /// Idle polling backs off exponentially (`poll_interval` up to ~5ms):
-    /// a stage whose inputs are not flowing should not spin at kHz rates.
-    /// With one thread per (worker, stage) pair, constant-rate polling
-    /// starves busy threads on small machines — enough to stall a query
-    /// outright when several engines share a core.
+    /// A pass that commits nothing blocks on the query's wakeup until some
+    /// GCS write, inbox delivery or kill may have made work runnable (or
+    /// [`IDLE_RECHECK`] passes). The epoch is read before the pass, so an
+    /// event that lands mid-pass makes the wait return at once.
     pub fn run(mut self) {
-        let poll = self.services.config.cluster.poll_interval;
-        // Idle backoff shares the configured retry policy's shape but polls
-        // from `poll_interval` up to ~5ms; jitter decorrelates the stage
-        // threads so they do not thunder against the GCS in lockstep.
-        let idle_policy = RetryPolicy {
-            base_delay: poll,
-            max_delay: Duration::from_millis(5).max(poll),
-            ..self.services.config.retry
-        };
-        let idle_seed = self
-            .services
-            .config
-            .seed
-            .wrapping_add(self.worker as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(self.stage as u64);
-        let mut idle = idle_policy.backoff_unbounded(idle_seed);
+        let wakeup = Arc::clone(self.services.wakeup());
         loop {
+            let seen = wakeup.epoch();
             self.services.heartbeat(self.worker);
             if self.services.is_killed(self.worker) {
                 return;
@@ -285,7 +340,7 @@ impl StageWorker {
                 return;
             }
             if gcs.is_paused() {
-                std::thread::sleep(Duration::from_micros(100));
+                wakeup.wait_past(seen, IDLE_RECHECK);
                 continue;
             }
             let mut progressed = self.handle_replays();
@@ -314,9 +369,7 @@ impl StageWorker {
                 }
             }
             if !progressed {
-                idle.sleep();
-            } else {
-                idle.reset();
+                wakeup.wait_past(seen, IDLE_RECHECK);
             }
         }
     }
@@ -369,7 +422,13 @@ impl StageWorker {
                 batches,
             );
             match pushed {
-                Ok(()) => progressed = true,
+                Ok(()) => {
+                    // The slice's lineage is already committed and no commit
+                    // follows to announce it: wake its consumer directly
+                    // (the in-process transport delivers quietly).
+                    services.wakeup().notify();
+                    progressed = true;
+                }
                 Err(e) if e.is_retryable() => {
                     // Re-queue, charging the bounded attempt budget — unless
                     // the failure is one the coordinator is already
@@ -465,6 +524,7 @@ impl StageWorker {
                         expected_seq: seq,
                         finished_inputs: HashSet::new(),
                         finalized: false,
+                        starved: None,
                     },
                 );
             } else {
@@ -482,7 +542,7 @@ impl StageWorker {
             TaskInputs::NotReady => {
                 // If the channel is starved of a partition its upstream has
                 // already committed, pull it back from its backup owner.
-                self.request_missing_inputs(state);
+                self.repair_missing_inputs(state);
                 return Ok(false);
             }
             other => other,
@@ -683,6 +743,7 @@ impl StageWorker {
             services.config.seed ^ out_name.seq as u64 ^ (self.worker as u64) << 32,
         );
         loop {
+            let seen = services.wakeup().epoch();
             services.heartbeat(self.worker);
             if services.is_killed(self.worker)
                 || services.gcs.is_query_done()
@@ -710,7 +771,7 @@ impl StageWorker {
                 return Ok(false);
             }
             if services.gcs.is_paused() {
-                std::thread::sleep(Duration::from_micros(200));
+                services.wakeup().wait_past(seen, IDLE_RECHECK);
                 continue;
             }
             // Push every slice (possibly empty) so downstream watermarks can
@@ -803,8 +864,10 @@ impl StageWorker {
             services.emit_result(out_name, outputs);
         }
         services.metrics.add_task(replay_mode);
+        services.inject_chaos();
         let rt = self.channels.get_mut(&addr).expect("runtime present");
         rt.expected_seq = seq + 1;
+        rt.starved = None;
         if new_state.done {
             self.channels.remove(&addr);
         }
@@ -860,7 +923,9 @@ impl StageWorker {
     }
 
     /// Re-request replays for committed upstream partitions this channel
-    /// needs but cannot find in its local inbox.
+    /// needs but cannot find in its local inbox. A starved channel checks at
+    /// most once per [`IDLE_RECHECK`], and requests only the slices that
+    /// were already missing at its previous check.
     ///
     /// Recovery normally schedules every replay a rewound channel needs, but
     /// a slice can still be lost to rare races — e.g. a pre-rewind task
@@ -872,9 +937,47 @@ impl StageWorker {
     /// abort). The `has_slice` guard keeps the common case write-free: a
     /// request is only issued while the slice is genuinely absent, and a
     /// served replay makes it present again.
-    fn request_missing_inputs(&self, state: &ChannelState) {
+    ///
+    /// The wait matters over TCP, where delivery is fire-and-forget: a
+    /// consumer woken by the producer's commit can look before the frame
+    /// lands, and requesting at once would replay a slice already in flight.
+    /// Checking rarely also keeps the idle pass, which every wakeup repeats,
+    /// free of the extra GCS reads.
+    fn repair_missing_inputs(&mut self, state: &ChannelState) {
+        let rt = self.channels.get_mut(&state.addr).expect("runtime inserted by try_task");
+        let previously = match &mut rt.starved {
+            None => {
+                rt.starved = Some((Instant::now(), Vec::new()));
+                return;
+            }
+            Some((checked, _)) if checked.elapsed() < IDLE_RECHECK => return,
+            Some((_, missing)) => std::mem::take(missing),
+        };
+        let missing = self.missing_inputs(state);
         let services = &self.services;
-        let Ok(server) = services.plane.server(self.worker) else { return };
+        for &(name, owner) in &missing {
+            if !previously.contains(&name) {
+                continue;
+            }
+            if trace_enabled() {
+                eprintln!("[trace] missing-input {} for {} owner={owner:?}", name, state.addr);
+            }
+            if let Some(owner) = owner {
+                services.gcs.add_replay(&ReplayRequest::new(owner, name, state.addr));
+                services.metrics.add_pull_repair();
+            }
+        }
+        let rt = self.channels.get_mut(&state.addr).expect("runtime inserted by try_task");
+        rt.starved = Some((Instant::now(), missing.into_iter().map(|(name, _)| name).collect()));
+    }
+
+    /// Committed upstream partitions at this channel's watermarks that are
+    /// absent from its inbox, each with the worker that can replay it
+    /// (`None` when no copy survives).
+    fn missing_inputs(&self, state: &ChannelState) -> Vec<(TaskName, Option<WorkerId>)> {
+        let services = &self.services;
+        let mut missing = Vec::new();
+        let Ok(server) = services.plane.server(self.worker) else { return missing };
         for (flat_index, (_, upstream)) in
             services.layout.upstream_channels(self.stage).iter().enumerate()
         {
@@ -899,13 +1002,9 @@ impl StageWorker {
             } else {
                 None
             };
-            if trace_enabled() {
-                eprintln!("[trace] missing-input {} for {} owner={owner:?}", name, state.addr);
-            }
-            if let Some(owner) = owner {
-                services.gcs.add_replay(&ReplayRequest::new(owner, name, state.addr));
-            }
+            missing.push((name, owner));
         }
+        missing
     }
 
     /// Inputs for a task executed in replay mode: follow the logged lineage
@@ -1141,8 +1240,11 @@ pub fn spawn_workers_for(
     workers: std::ops::Range<WorkerId>,
 ) -> Vec<std::thread::JoinHandle<()>> {
     let mut handles = Vec::new();
-    for worker in workers {
-        for stage in 0..services.layout.graph.stages.len() as StageId {
+    // Stage-major order: each stage starts on every worker before the next
+    // stage starts anywhere, so no worker lags the others just because its
+    // threads were spawned last.
+    for stage in 0..services.layout.graph.stages.len() as StageId {
+        for worker in workers.clone() {
             let services = Arc::clone(services);
             let handle = std::thread::Builder::new()
                 .name(format!("quokka-w{worker}-s{stage}"))

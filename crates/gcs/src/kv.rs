@@ -10,7 +10,10 @@
 //!   like `WATCH`/`MULTI`/`EXEC`);
 //! * prefix scans support listing, e.g. "all committed lineage of channel X";
 //! * an optional per-operation latency models the network round trip to the
-//!   head node, so GCS traffic shows up in the cost model.
+//!   head node, so GCS traffic shows up in the cost model;
+//! * every write through the store (`put`, `delete`, a committed
+//!   transaction) bumps the store's [`Wakeup`], so threads blocked on it
+//!   re-scan the moment the state they wait on may have changed.
 //!
 //! The store has two backends behind one API. [`KvStore::new`] is the
 //! authoritative in-memory store the driver owns. [`KvStore::remote`] is a
@@ -31,7 +34,7 @@
 use crate::remote::{self, ControlClient};
 use bytes::Bytes;
 use parking_lot::Mutex;
-use quokka_common::{QuokkaError, Result};
+use quokka_common::{QuokkaError, Result, Wakeup};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,6 +69,10 @@ pub struct KvStore {
     /// Latency charged per GCS round trip (scaled sleep); zero disables it.
     /// Remote stores pay the real network round trip instead.
     op_latency: Duration,
+    /// Notified after every write this store applies or forwards. On the
+    /// driver that includes workers' commits arriving over the control
+    /// connection; a remote proxy only sees its own process's writes.
+    wakeup: Arc<Wakeup>,
 }
 
 impl Default for KvStore {
@@ -88,6 +95,7 @@ impl KvStore {
             committed: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
             op_latency,
+            wakeup: Arc::default(),
         }
     }
 
@@ -99,7 +107,13 @@ impl KvStore {
             committed: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
             op_latency: Duration::ZERO,
+            wakeup: Arc::default(),
         }
+    }
+
+    /// The wakeup every write through this store notifies.
+    pub fn wakeup(&self) -> &Arc<Wakeup> {
+        &self.wakeup
     }
 
     /// Whether this store is a remote proxy.
@@ -150,6 +164,7 @@ impl KvStore {
             Backend::Remote(c) => remote::remote_put(c, &key, &value).unwrap_or_else(gcs_lost),
         }
         self.committed.fetch_add(1, Ordering::Relaxed);
+        self.wakeup.notify();
     }
 
     /// Unconditionally delete one key. Returns whether it existed.
@@ -161,6 +176,7 @@ impl KvStore {
         };
         if removed {
             self.committed.fetch_add(1, Ordering::Relaxed);
+            self.wakeup.notify();
         }
         removed
     }
@@ -264,6 +280,7 @@ impl KvStore {
         match &outcome {
             Ok(()) => {
                 self.committed.fetch_add(1, Ordering::Relaxed);
+                self.wakeup.notify();
             }
             Err(QuokkaError::TransactionAborted(_)) => {
                 self.aborted.fetch_add(1, Ordering::Relaxed);
@@ -468,6 +485,22 @@ mod tests {
         kv.clear();
         assert_eq!(kv.byte_size(), 0);
         assert_eq!(kv.len(), 0);
+    }
+
+    #[test]
+    fn every_applied_write_notifies_the_wakeup() {
+        let kv = KvStore::default();
+        let epoch = kv.wakeup().epoch();
+        kv.put("a", Bytes::from_static(b"1"));
+        assert_eq!(kv.wakeup().epoch(), epoch + 1);
+        let _ = kv.get("a");
+        assert!(!kv.delete("missing"));
+        assert_eq!(kv.wakeup().epoch(), epoch + 1, "reads and no-op deletes stay quiet");
+        assert!(kv.delete("a"));
+        let mut txn = kv.begin();
+        txn.put("b", Bytes::from_static(b"2"));
+        txn.commit().unwrap();
+        assert_eq!(kv.wakeup().epoch(), epoch + 3);
     }
 
     #[test]

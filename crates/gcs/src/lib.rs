@@ -5,8 +5,11 @@
 //! lineage, the outstanding task table, the location of data partitions, and
 //! control flags, and it is the *single source of truth* for the execution
 //! state of the whole system. Individual TaskManagers are stateless and
-//! poll the GCS; the coordinator performs fault recovery purely by editing
-//! the GCS ("reconciliation", §IV-C).
+//! read their work from the GCS; the coordinator performs fault recovery
+//! purely by editing the GCS ("reconciliation", §IV-C). The paper's
+//! TaskManagers poll Redis across the network; here every write notifies
+//! the store's [`Wakeup`](quokka_common::Wakeup), so idle threads block
+//! until the state may have changed instead of polling.
 //!
 //! This crate provides:
 //!

@@ -22,8 +22,9 @@
 use crate::kv::KvStore;
 use bytes::Bytes;
 use quokka_common::ids::{ChannelAddr, SeqNo, TaskName, WorkerId};
-use quokka_common::{QuokkaError, Result};
+use quokka_common::{QuokkaError, Result, Wakeup};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What a task consumed — the lineage proper (§III-A).
@@ -417,6 +418,11 @@ impl Gcs {
         &self.kv
     }
 
+    /// The wakeup every GCS write notifies (see [`KvStore::wakeup`]).
+    pub fn wakeup(&self) -> &Arc<Wakeup> {
+        self.kv.wakeup()
+    }
+
     /// Bytes of lineage committed so far.
     pub fn lineage_bytes(&self) -> u64 {
         self.lineage_bytes.load(Ordering::Relaxed)
@@ -559,6 +565,27 @@ impl Gcs {
     /// (same key) overwrites rather than duplicates.
     pub fn add_replay(&self, request: &ReplayRequest) {
         self.kv.put(replay_key(request), Bytes::from(request.attempts.to_string()));
+    }
+
+    /// Apply a recovery reconciliation in one transaction: reset each
+    /// channel's state and first task, then enqueue the replays its inputs
+    /// need. One commit means one wakeup, instead of one per key for every
+    /// stage thread waiting behind the pause barrier.
+    pub fn apply_reconciliation(
+        &self,
+        resets: &[(ChannelState, TaskEntry)],
+        replays: &[ReplayRequest],
+    ) -> Result<()> {
+        self.kv.with_transaction(0, |txn| {
+            for (state, task) in resets {
+                txn.put(chan_key(state.addr), state.encode());
+                txn.put(task_key(task.task.channel_addr()), task.encode());
+            }
+            for request in replays {
+                txn.put(replay_key(request), request.attempts.to_string());
+            }
+            Ok(())
+        })
     }
 
     /// Replay requests assigned to `worker`.
@@ -861,6 +888,23 @@ mod tests {
         assert_eq!(gcs.replays_for_worker(1), vec![charged.clone()]);
         gcs.remove_replay(&r);
         assert!(gcs.replays_for_worker(1).is_empty());
+    }
+
+    #[test]
+    fn reconciliation_applies_as_one_transaction() {
+        let gcs = Gcs::default();
+        let a = ChannelAddr::new(1, 0);
+        let state = ChannelState::new(a, 2, 1);
+        let task = TaskEntry { task: a.task(0), worker: 2 };
+        let replay = ReplayRequest::new(0, TaskName::new(0, 0, 3), a);
+        let (epoch, transactions) = (gcs.wakeup().epoch(), gcs.transactions());
+        gcs.apply_reconciliation(&[(state.clone(), task.clone())], std::slice::from_ref(&replay))
+            .unwrap();
+        assert_eq!(gcs.transactions(), transactions + 1);
+        assert_eq!(gcs.wakeup().epoch(), epoch + 1, "one commit, one wakeup");
+        assert_eq!(gcs.get_channel(a), Some(state));
+        assert_eq!(gcs.get_task(a), Some(task));
+        assert_eq!(gcs.replays_for_worker(0), vec![replay]);
     }
 
     #[test]

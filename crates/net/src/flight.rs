@@ -3,9 +3,10 @@
 use parking_lot::RwLock;
 use quokka_batch::Batch;
 use quokka_common::ids::{ChannelAddr, PartitionName, WorkerId};
-use quokka_common::{QuokkaError, Result};
+use quokka_common::{QuokkaError, Result, Wakeup};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Key of one pushed slice: which channel it is for, and which task produced
 /// it.
@@ -21,24 +22,49 @@ pub struct SliceKey {
 /// is killed the inbox is dropped, so any slice that had not been consumed
 /// (or that the consumer will need again after being rewound) has to be
 /// replayed from the producer's local backup or regenerated.
+///
+/// [`FlightServer::push`] notifies the query's [`Wakeup`] for every
+/// accepted slice, so the consuming stage thread runs without waiting for
+/// a re-check. [`FlightServer::insert`] is the quiet variant for the one
+/// path whose commit follows and announces the slice anyway.
 #[derive(Debug)]
 pub struct FlightServer {
     worker: WorkerId,
     inbox: RwLock<BTreeMap<SliceKey, Vec<Batch>>>,
     failed: AtomicBool,
+    wakeup: Arc<Wakeup>,
 }
 
 impl FlightServer {
-    pub fn new(worker: WorkerId) -> Self {
-        FlightServer { worker, inbox: RwLock::new(BTreeMap::new()), failed: AtomicBool::new(false) }
+    pub fn new(worker: WorkerId, wakeup: Arc<Wakeup>) -> Self {
+        FlightServer {
+            worker,
+            inbox: RwLock::new(BTreeMap::new()),
+            failed: AtomicBool::new(false),
+            wakeup,
+        }
     }
 
     pub fn worker(&self) -> WorkerId {
         self.worker
     }
 
-    /// Accept a pushed slice. Fails if this worker has been killed.
+    /// Accept a pushed slice and notify the wakeup. Fails if this worker
+    /// has been killed.
     pub fn push(
+        &self,
+        consumer: ChannelAddr,
+        producer: PartitionName,
+        batches: Vec<Batch>,
+    ) -> Result<()> {
+        self.insert(consumer, producer, batches)?;
+        self.wakeup.notify();
+        Ok(())
+    }
+
+    /// Accept a pushed slice without notifying the wakeup. Fails if this
+    /// worker has been killed.
+    pub fn insert(
         &self,
         consumer: ChannelAddr,
         producer: PartitionName,
@@ -145,7 +171,7 @@ mod tests {
 
     #[test]
     fn push_take_peek() {
-        let fs = FlightServer::new(0);
+        let fs = FlightServer::new(0, Arc::default());
         let consumer = ChannelAddr::new(1, 0);
         let producer = TaskName::new(0, 0, 0);
         fs.push(consumer, producer, vec![batch(vec![1, 2])]).unwrap();
@@ -159,7 +185,7 @@ mod tests {
 
     #[test]
     fn available_from_orders_and_filters() {
-        let fs = FlightServer::new(0);
+        let fs = FlightServer::new(0, Arc::default());
         let consumer = ChannelAddr::new(2, 0);
         let upstream = ChannelAddr::new(1, 3);
         for seq in [4u32, 1, 2, 7] {
@@ -176,8 +202,23 @@ mod tests {
     }
 
     #[test]
+    fn accepted_pushes_notify_the_wakeup() {
+        let wakeup = Arc::new(Wakeup::new());
+        let fs = FlightServer::new(1, Arc::clone(&wakeup));
+        let consumer = ChannelAddr::new(1, 0);
+        fs.push(consumer, TaskName::new(0, 0, 0), vec![batch(vec![1])]).unwrap();
+        assert_eq!(wakeup.epoch(), 1);
+        fs.insert(consumer, TaskName::new(0, 0, 1), vec![batch(vec![2])]).unwrap();
+        assert!(fs.has_slice(consumer, TaskName::new(0, 0, 1)));
+        assert_eq!(wakeup.epoch(), 1, "insert is the quiet variant");
+        fs.fail();
+        assert!(fs.push(consumer, TaskName::new(0, 0, 2), vec![]).is_err());
+        assert_eq!(wakeup.epoch(), 1, "a rejected push delivers nothing");
+    }
+
+    #[test]
     fn clear_consumer_only_affects_that_channel() {
-        let fs = FlightServer::new(0);
+        let fs = FlightServer::new(0, Arc::default());
         let a = ChannelAddr::new(1, 0);
         let b = ChannelAddr::new(1, 1);
         fs.push(a, TaskName::new(0, 0, 0), vec![]).unwrap();
@@ -190,7 +231,7 @@ mod tests {
 
     #[test]
     fn failure_drops_inbox_and_rejects_pushes() {
-        let fs = FlightServer::new(5);
+        let fs = FlightServer::new(5, Arc::default());
         let consumer = ChannelAddr::new(1, 0);
         fs.push(consumer, TaskName::new(0, 0, 0), vec![batch(vec![1])]).unwrap();
         fs.fail();

@@ -14,7 +14,7 @@ use crate::transport::{InprocTransport, Transport};
 use quokka_batch::Batch;
 use quokka_common::ids::{ChannelAddr, PartitionName, WorkerId};
 use quokka_common::metrics::MetricsRegistry;
-use quokka_common::{QuokkaError, Result, TransportConfig, TransportKind};
+use quokka_common::{QuokkaError, Result, TransportConfig, TransportKind, Wakeup};
 use quokka_storage::CostModel;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -72,24 +72,26 @@ pub struct DataPlane {
 
 impl DataPlane {
     /// Create a data plane for `workers` workers on the default in-process
-    /// transport.
+    /// transport, with inboxes notifying a wakeup of their own.
     pub fn new(workers: u32, cost: CostModel, metrics: Arc<MetricsRegistry>) -> Self {
-        Self::with_config(workers, cost, metrics, &TransportConfig::inproc())
+        Self::with_config(workers, cost, metrics, &TransportConfig::inproc(), Arc::default())
             .expect("in-process transport construction is infallible")
     }
 
     /// Create a data plane with an explicit transport configuration:
     /// `TransportKind::Inproc` delivers pushes as direct inbox calls,
     /// `TransportKind::Tcp` routes every cross-worker push through pooled
-    /// slabs and real loopback sockets.
+    /// slabs and real loopback sockets. The inboxes notify `wakeup` on the
+    /// deliveries that need it (see [`FlightServer::push`]).
     pub fn with_config(
         workers: u32,
         cost: CostModel,
         metrics: Arc<MetricsRegistry>,
         config: &TransportConfig,
+        wakeup: Arc<Wakeup>,
     ) -> Result<Self> {
         let servers: Vec<Arc<FlightServer>> =
-            (0..workers).map(|w| Arc::new(FlightServer::new(w))).collect();
+            (0..workers).map(|w| Arc::new(FlightServer::new(w, Arc::clone(&wakeup)))).collect();
         let transport: Box<dyn Transport> = match config.kind {
             TransportKind::Inproc => Box::new(InprocTransport::new(servers.clone())),
             TransportKind::Tcp => {
@@ -353,6 +355,7 @@ mod tests {
             CostModel::free(),
             Arc::clone(&metrics),
             &TransportConfig::tcp(),
+            Arc::default(),
         )
         .unwrap();
         assert_eq!(p.transport_kind(), "tcp");

@@ -79,7 +79,11 @@ impl Transport for InprocTransport {
     ) -> Result<()> {
         // The plane validated the destination before delegating; a racing
         // kill still surfaces here as the server's own WorkerFailed.
-        self.servers[destination as usize].push(consumer, producer, batches)
+        // No wakeup: an in-process task push always lands before its
+        // producer commits, and the commit — which is what makes the slice
+        // consumable — wakes the consumer. Replays, which no commit
+        // follows, notify after the send (`StageWorker::handle_replays`).
+        self.servers[destination as usize].insert(consumer, producer, batches)
     }
 
     fn fail_peer(&self, _worker: WorkerId) {

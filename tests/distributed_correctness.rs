@@ -18,6 +18,13 @@ fn check(session: &QuokkaSession, query: usize, config: &EngineConfig) {
         expected.num_rows(),
         outcome.batch.num_rows()
     );
+    // In process (no per-peer wire stats), a push always lands before its
+    // commit, so a clean run never needs to pull a slice back. Over TCP a
+    // consumer can see the commit before the frame; there the debounced
+    // repair may fire.
+    if outcome.metrics.transport_peers.is_empty() {
+        assert_eq!(outcome.metrics.pull_repairs, 0, "Q{query} pulled slices under {config:?}");
+    }
 }
 
 #[test]
